@@ -293,7 +293,7 @@ banner(const char *experiment, const char *paper_ref)
     std::printf("tamres experiment: %s\n", experiment);
     std::printf("reproduces: %s\n", paper_ref);
     std::printf("note: single-host CPU substitutes for the paper's "
-                "4790K/2990WX testbeds (see EXPERIMENTS.md)\n");
+                "4790K/2990WX testbeds\n");
     std::printf("================================================\n");
 }
 

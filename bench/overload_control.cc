@@ -170,12 +170,7 @@ main()
             // The injected tail's floor is 20 ms: any fetch still in
             // flight at 4 ms drew a delay, so hedge early.
             cfg.overload.hedge.max_delay_s = 4e-3;
-            cfg.overload.hedge.max_per_request = 2;
             cfg.overload.hedge.inflight_budget = 8;
-            // Injected delays sleep for tens of ms while holding a
-            // pool slot; the default pool (decode_workers + 2) would
-            // queue fresh fetches behind sleeping losers.
-            cfg.overload.hedge.pool_threads = 12;
         }
         if (leg.brownout) {
             cfg.overload.brownout.enable = true;

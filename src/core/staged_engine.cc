@@ -1,9 +1,7 @@
 #include "core/staged_engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -31,70 +29,6 @@ thread_local int tls_wd_slot = -1;
 
 } // namespace
 
-/**
- * Tiny dedicated executor for detached storage I/O — hedged fetches
- * and timed (abandonable) fetches. Deliberately NOT the fork-join
- * ThreadPool: these tasks are independent fire-and-forget I/O calls
- * whose waiter blocks on a condition variable, which would deadlock a
- * fork-join pool. The destructor runs every task already enqueued
- * before joining, so a fetch waiter can never hang on a dropped task.
- */
-class StagedServingEngine::IoPool
-{
-  public:
-    explicit IoPool(int threads)
-    {
-        workers_.reserve(static_cast<size_t>(threads));
-        for (int i = 0; i < threads; ++i)
-            workers_.emplace_back([this] { loop(); });
-    }
-
-    ~IoPool()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stopping_ = true;
-        }
-        cv_.notify_all();
-        for (auto &t : workers_)
-            t.join();
-    }
-
-    void
-    enqueue(std::function<void()> fn)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            tasks_.push_back(std::move(fn));
-        }
-        cv_.notify_one();
-    }
-
-  private:
-    void
-    loop()
-    {
-        std::unique_lock<std::mutex> lock(mu_);
-        for (;;) {
-            cv_.wait(lock,
-                     [&] { return stopping_ || !tasks_.empty(); });
-            if (tasks_.empty())
-                return; // stopping and fully drained
-            std::function<void()> fn = std::move(tasks_.front());
-            tasks_.pop_front();
-            lock.unlock();
-            fn();
-            lock.lock();
-        }
-    }
-
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::deque<std::function<void()>> tasks_;
-    bool stopping_ = false;
-    std::vector<std::thread> workers_;
-};
-
 StagedServingEngine::StagedServingEngine(ObjectStore &store,
                                          const ScaleModel &scale,
                                          Graph *backbone,
@@ -104,7 +38,6 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
       clock_(cfg_.overload.clock ? cfg_.overload.clock
                                  : &Clock::steady()),
       epoch_s_(clock_->now()),
-      hedge_lat_(std::max(1, cfg_.overload.hedge.latency_window)),
       brown_window_(cfg_.overload.brownout.window_s > 0
                         ? cfg_.overload.brownout.window_s
                         : 0.5)
@@ -121,15 +54,10 @@ StagedServingEngine::StagedServingEngine(ObjectStore &store,
     if (backbone_)
         inner_ = std::make_unique<ServingEngine>(*backbone_,
                                                  cfg_.backbone);
-    // The I/O pool exists whenever a fetch may need to be waited on
-    // from a distance: hedged reads race a backup on it, and the
-    // timed-fetch bound (stage_timeout_s) must be able to abandon a
-    // wedged read without abandoning the thread running it.
-    if (cfg_.overload.hedge.enable || cfg_.retry.stage_timeout_s > 0) {
-        const int threads = cfg_.overload.hedge.pool_threads > 0
-                                ? cfg_.overload.hedge.pool_threads
-                                : cfg_.decode_workers + 2;
-        io_pool_ = std::make_unique<IoPool>(threads);
+    if (cfg_.overload.hedge.enable) {
+        hedged_ = std::make_unique<HedgedObjectStore>(store,
+                                                      cfg_.overload.hedge);
+        store_ = hedged_.get();
     }
     if (cfg_.overload.watchdog.enable) {
         Watchdog::Config wc;
@@ -195,7 +123,6 @@ StagedServingEngine::submit(StagedRequest &req)
     req.scans_intended = 0;
     req.bytes_read = 0;
     req.retries = 0;
-    req.hedges = 0;
     req.decode_s = 0.0;
     req.latency_s = 0.0;
     req.state.store(static_cast<int>(StagedState::Queued),
@@ -224,9 +151,10 @@ void
 StagedServingEngine::cancel(StagedRequest &req)
 {
     req.cancel_.cancel(CancelReason::Client);
-    // The token is polled cooperatively: workers parked on fetch
-    // waits slice-poll it, wedged store reads poll it, and a queued
-    // request observes it at formation when a worker picks it up.
+    // The token is polled cooperatively: in-flight store reads poll it
+    // through their per-attempt token, the decoder between scans, and
+    // a queued request observes it at formation when a worker picks
+    // it up.
     work_cv_.notify_all();
 }
 
@@ -366,10 +294,6 @@ StagedServingEngine::drain()
 void
 StagedServingEngine::stop()
 {
-    // Serialized end to end so only one caller tears down the I/O
-    // pool, and only after the decode workers that feed it have
-    // joined (their in-flight fetch tasks must be allowed to settle).
-    std::lock_guard<std::mutex> stop_lock(stop_mu_);
     std::vector<std::thread> joinable;
     {
         std::lock_guard<std::mutex> lock(mu_);
@@ -382,7 +306,6 @@ StagedServingEngine::stop()
         t.join();
     if (watchdog_)
         watchdog_->stop(); // workers are gone; nothing left to flag
-    io_pool_.reset(); // drains queued fetch tasks, then joins
     if (inner_)
         inner_->stop();
 }
@@ -401,6 +324,13 @@ StagedServingEngine::stats() const
         s.decode_queue_depth = static_cast<int>(queue_.size());
     }
     s.brownout_tier = brownout_tier_.load(std::memory_order_relaxed);
+    if (hedged_) {
+        // The requests charged only their winners' bytes.
+        const ReadStats h = hedged_->stats();
+        s.hedges_issued = h.hedges_issued;
+        s.hedge_wins = h.hedge_wins;
+        s.bytes_read += h.hedge_loser_bytes;
+    }
     if (cfg_.cache)
         s.cache = cfg_.cache->stats();
     if (inner_)
@@ -488,20 +418,26 @@ StagedServingEngine::processOne(StagedRequest &req, int depth)
     // survives, the batch continues, the request terminates Failed.
     try {
         processOneImpl(req, depth);
-    } catch (const Error &e) {
-        // Backstop for a Cancelled error that escaped stage-level
-        // handling: terminate by the reason that fired the token.
-        if (e.kind() == ErrorKind::Cancelled) {
+    } catch (const std::exception &e) {
+        const auto *err = dynamic_cast<const Error *>(&e);
+        if (err != nullptr && err->kind() == ErrorKind::Cancelled) {
+            // Cancelled at a clean prefix boundary: meter what was
+            // actually read (the stages record scan and byte progress
+            // on the request as it happens), then terminate by the
+            // reason that fired (client hangup vs. deadline expiry).
+            // Output fields are not valid, but the accounting is.
+            req.decode_s = now() - req.submit_s_;
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                stats_.scans_read += static_cast<uint64_t>(req.scans_read);
+                stats_.bytes_read += req.bytes_read;
+            }
             markTerminal(req,
                          req.cancel_.reason() == CancelReason::Client
                              ? StagedState::Cancelled
                              : StagedState::Expired);
             return;
         }
-        warn("staged request %llu failed: %s",
-             static_cast<unsigned long long>(req.id), e.what());
-        markTerminal(req, StagedState::Failed);
-    } catch (const std::exception &e) {
         warn("staged request %llu failed: %s",
              static_cast<unsigned long long>(req.id), e.what());
         markTerminal(req, StagedState::Failed);
@@ -552,21 +488,31 @@ StagedServingEngine::onWatchdogFlag(const WatchdogReport &report)
 
 /**
  * Drive the resumable decoder to @p target scans, fetching delivery
- * bytes with deadline-aware retries. Returns true when the target was
+ * bytes with deadline-aware retries and recording scan and byte
+ * progress on @p req as it happens. Returns true when the target was
  * reached; false when the retry budget (attempt cap, backoff vs.
  * remaining deadline, or stage timeout) ran out — the decoder then
  * holds a clean prefix at scansDecoded() and the caller degrades.
- * Unrecoverable faults (NotFound, mid-scan Decode damage) propagate.
+ * Unrecoverable faults (NotFound, mid-scan Decode damage) and
+ * client/deadline cancellation propagate.
  */
 bool
 StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
                                          EncodedImage &delivery,
                                          ProgressiveDecoder &dec,
-                                         int target, size_t &bytes,
-                                         bool &charged_full,
+                                         int target, bool &charged_full,
                                          double stage_start_s)
 {
+    // Every read gets at least this much wall time, so a fast read can
+    // still land with the stage budget nearly spent.
+    constexpr double kMinReadS = 2e-3;
+
     const StagedRetryConfig &rc = cfg_.retry;
+    auto giveUp = [&] {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.retry_giveups;
+        return false;
+    };
     int attempt = 0;
     while (dec.scansDecoded() < target) {
         heartbeat(req, "fetch");
@@ -577,17 +523,11 @@ StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
         const CancelReason cr = req.cancel_.reason();
         if (cr == CancelReason::Client || cr == CancelReason::Deadline)
             req.cancel_.throwIfFired();
-        if (cr != CancelReason::None) {
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.retry_giveups;
-            return false;
-        }
+        if (cr != CancelReason::None)
+            return giveUp();
         if (attempt > 0) {
-            if (attempt >= rc.max_attempts) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retry_giveups;
-                return false;
-            }
+            if (attempt >= rc.max_attempts)
+                return giveUp();
             // Exponential backoff with deterministic jitter in
             // [1 - jitter, 1], charged against the deadline AND the
             // stage timeout: a sleep that does not fit the remaining
@@ -605,11 +545,8 @@ StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
             if (rc.stage_timeout_s > 0.0)
                 budget = std::min(
                     budget, stage_start_s + rc.stage_timeout_s - now());
-            if (backoff >= budget) {
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.retry_giveups;
-                return false;
-            }
+            if (backoff >= budget)
+                return giveUp();
             {
                 std::lock_guard<std::mutex> lock(mu_);
                 ++stats_.retries;
@@ -625,32 +562,58 @@ StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
         // boundary (a faulted attempt may have left damaged or
         // partial trailing bytes behind).
         const int from = dec.scansDecoded();
-        delivery.bytes.resize(delivery.scan_offsets[from]);
+        const size_t start = delivery.scan_offsets[from];
+        delivery.bytes.resize(start);
+
+        // The attempt's token reports the request token's firings
+        // (client, deadline, watchdog) and fires Abandoned when the
+        // stage budget runs out, so a wedged read unwinds on this
+        // worker at the bound. The budget is measured on the engine
+        // clock but enforced on the wall clock: a wedged read
+        // advances no injectable clock (hedge timing is the same).
+        CancelToken read_token(&req.cancel_);
+        if (rc.stage_timeout_s > 0.0) {
+            const Clock &wall = Clock::steady();
+            read_token.armDeadline(
+                wall,
+                wall.now() +
+                    std::max(kMinReadS, stage_start_s +
+                                            rc.stage_timeout_s - now()),
+                CancelReason::Abandoned);
+        }
         try {
-            bytes += guardedFetch(req, from, target, delivery,
-                                  !charged_full, stage_start_s);
-            if (from == 0)
-                charged_full = true;
+            store_->fetchScanRange(req.id, from, target, delivery.bytes,
+                                   !charged_full, SIZE_MAX, &read_token);
         } catch (const Error &e) {
+            // A read that unwound part-way still delivered (and the
+            // store metered) the bytes now in the buffer.
+            req.bytes_read += delivery.bytes.size() - start;
+            if (read_token.fired()) {
+                std::lock_guard<std::mutex> lock(mu_);
+                ++stats_.reads_abandoned;
+            }
             if (e.kind() != ErrorKind::Transient)
-                throw; // NotFound and friends: not retryable here
-            if (e.failFast()) {
-                // A circuit breaker is refusing fetches: every retry
-                // would fail the same way until its cooldown expires,
-                // so backing off only burns deadline the request
-                // could spend degrading gracefully. Give up NOW.
+                throw; // NotFound, Cancelled: not retryable here
+            {
                 std::lock_guard<std::mutex> lock(mu_);
                 ++stats_.fetch_faults;
-                ++stats_.retry_giveups;
-                return false;
             }
-            std::lock_guard<std::mutex> lock(mu_);
-            ++stats_.fetch_faults;
+            // A circuit breaker is refusing fetches, or the stage
+            // budget or the watchdog abandoned the read: every retry
+            // would fail the same way, so backing off only burns
+            // deadline the request could spend degrading gracefully.
+            // Give up NOW.
+            if (e.failFast())
+                return giveUp();
             continue;
         }
+        req.bytes_read += delivery.bytes.size() - start;
+        if (from == 0)
+            charged_full = true;
         try {
             dec.advanceWithBytes(delivery.bytes.size());
         } catch (const Error &e) {
+            req.scans_read = dec.scansDecoded();
             // Decode means the damage was caught MID-SCAN (entropy
             // stream violated after the checksum passed): coefficient
             // state is unspecified, the request cannot be saved.
@@ -667,6 +630,7 @@ StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
             ++stats_.fetch_faults;
             continue;
         }
+        req.scans_read = dec.scansDecoded();
         if (dec.scansDecoded() < target) {
             // The advance was clean but the delivery was short (an
             // injected truncated read): refetch the missing tail.
@@ -675,243 +639,6 @@ StagedServingEngine::fetchScansWithRetry(StagedRequest &req,
         }
     }
     return true;
-}
-
-/**
- * One physical ranged fetch for scans [from, target) appended to the
- * delivery buffer, guarded by the containment machinery:
- *
- *  - Hedging (when configured): the primary runs as a task on the
- *    I/O pool; if it outlives the tracked hedge delay, ONE backup
- *    fetch for the same range races it and the first success is
- *    adopted.
- *  - Timed-fetch bound (stage_timeout_s > 0): a read still in flight
- *    when the stage budget lapses is ABANDONED — the waiter fires
- *    the fetch's own cancellation token (waking a wedged read),
- *    counts reads_abandoned, and throws Transient into the retry
- *    ladder. The abandoning worker moves on immediately; the task
- *    settles on its own and is discarded.
- *  - Request-token polling: client cancels, deadline expiry and
- *    watchdog flags are observed mid-wait even when the read itself
- *    is wedged, and abandon the read the same way.
- *
- * Discarded fetches still meter: a loser or late completion charges
- * its delivered bytes to bytes_read when it settles (honest
- * metering; the store meters its own deliveries too), and a fetch
- * whose token fired stops at the next delivery chunk without ever
- * charging the bytes_full denominator. The per-fetch token lives
- * inside the shared FetchState — NOT chained to the request token —
- * so an abandoned task never touches request memory after the engine
- * has moved on. Throws the first error when every attempt fails. The
- * backup never charges the full-read denominator, so bytes_full can
- * undercount in the rare case where the primary of a from == 0 range
- * fails after its backup won — the conservative direction for
- * savings numbers.
- */
-size_t
-StagedServingEngine::guardedFetch(StagedRequest &req, int from,
-                                  int target, EncodedImage &delivery,
-                                  bool charge_full,
-                                  double stage_start_s)
-{
-    if (!io_pool_)
-        return store_->fetchScanRange(req.id, from, target,
-                                      delivery.bytes, charge_full,
-                                      SIZE_MAX, &req.cancel_);
-
-    const HedgeConfig &hc = cfg_.overload.hedge;
-    const size_t begin = delivery.bytes.size();
-
-    struct FetchState
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        int pending = 0;
-        bool winner = false;
-        bool winner_is_backup = false;
-        bool abandoned = false;
-        std::vector<uint8_t> win_buf;
-        size_t win_got = 0;
-        std::exception_ptr first_error;
-        CancelToken cancel; //!< per-fetch; waiter mirrors firings in
-    };
-    auto state = std::make_shared<FetchState>();
-
-    auto launch = [&](bool is_backup) {
-        {
-            std::lock_guard<std::mutex> lock(state->mu);
-            ++state->pending;
-        }
-        io_pool_->enqueue([this, state, is_backup, begin,
-                           id = req.id, from, target,
-                           charge = is_backup ? false
-                                              : charge_full] {
-            // Scratch delivery prefix: fetchScanRange only requires
-            // dst.size() == scan_offsets[from]; the prefix content is
-            // never read, only appended after.
-            std::vector<uint8_t> buf(begin);
-            size_t got = 0;
-            std::exception_ptr err;
-            try {
-                got = store_->fetchScanRange(id, from, target, buf,
-                                             charge, SIZE_MAX,
-                                             &state->cancel);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            if (is_backup)
-                hedges_inflight_.fetch_sub(
-                    1, std::memory_order_relaxed);
-            bool lost_success = false;
-            {
-                std::lock_guard<std::mutex> lock(state->mu);
-                --state->pending;
-                if (err) {
-                    if (!state->first_error)
-                        state->first_error = err;
-                } else if (!state->winner && !state->abandoned) {
-                    state->winner = true;
-                    state->winner_is_backup = is_backup;
-                    state->win_buf = std::move(buf);
-                    state->win_got = got;
-                } else {
-                    lost_success = true;
-                }
-            }
-            if (lost_success && got > 0) {
-                std::lock_guard<std::mutex> lock(mu_);
-                stats_.bytes_read += got; // a discarded fetch still moved bytes
-            }
-            state->cv.notify_all();
-        });
-    };
-
-    // Hedge delay: the tracked latency quantile, clamped, and
-    // bootstrapped at the ceiling until there is enough evidence.
-    // Wall-clock on purpose — hedging races real threads.
-    const bool may_hedge = hc.enable;
-    double delay = hc.max_delay_s;
-    if (may_hedge) {
-        std::lock_guard<std::mutex> lock(hedge_mu_);
-        if (hedge_lat_.count() >= 8)
-            delay = std::clamp(hedge_lat_.quantile(hc.delay_quantile),
-                               hc.min_delay_s, hc.max_delay_s);
-    }
-
-    // Slice-polling cadence: short cv waits so request-token firings
-    // and the abandonment bound are observed within milliseconds even
-    // when the read never settles.
-    constexpr double kSliceS = 2e-3;
-
-    // Timed-fetch bound: the stage budget's remaining time, measured
-    // on the engine clock at launch, enforced below on the WALL clock
-    // while the read is in flight (a wedged read advances no
-    // injectable clock — same documented exception as hedge timing).
-    // Every read gets at least one slice so a fast read can win even
-    // with the budget nearly spent.
-    double abandon_after = std::numeric_limits<double>::infinity();
-    if (cfg_.retry.stage_timeout_s > 0.0)
-        abandon_after = std::max(
-            kSliceS,
-            stage_start_s + cfg_.retry.stage_timeout_s - now());
-
-    const double t0 = Clock::steady().now();
-    launch(/*is_backup=*/false);
-
-    std::unique_lock<std::mutex> lock(state->mu);
-    bool hedge_spent = false;
-    auto settled = [&] {
-        return state->winner || state->pending == 0;
-    };
-    while (!settled()) {
-        const CancelReason cr = req.cancel_.reason();
-        const double waited = Clock::steady().now() - t0;
-        if (cr != CancelReason::None || waited >= abandon_after) {
-            // Abandon the in-flight read: fire the fetch token (a
-            // wedged store read polls it and unwinds), then leave
-            // WITHOUT waiting for the task to settle.
-            state->abandoned = true;
-            state->cancel.cancel(cr != CancelReason::None
-                                     ? cr
-                                     : CancelReason::Abandoned);
-            lock.unlock();
-            state->cv.notify_all();
-            {
-                std::lock_guard<std::mutex> elock(mu_);
-                ++stats_.reads_abandoned;
-            }
-            if (cr != CancelReason::None)
-                req.cancel_.throwIfFired();
-            throwError(ErrorKind::Transient,
-                       "timed fetch: read of object %llu scans "
-                       "[%d, %d) abandoned after %.3fs",
-                       static_cast<unsigned long long>(req.id),
-                       from, target, waited);
-        }
-        double next = kSliceS;
-        if (std::isfinite(abandon_after))
-            next = std::min(next, abandon_after - waited);
-        if (may_hedge && !hedge_spent &&
-            req.hedges < hc.max_per_request) {
-            const double until_hedge = delay - waited;
-            if (until_hedge <= 0.0) {
-                // The primary is slow past the hedge delay: spend
-                // ONE backup if the in-flight budget allows it.
-                hedge_spent = true;
-                if (hedges_inflight_.fetch_add(
-                        1, std::memory_order_relaxed) >=
-                    hc.inflight_budget) {
-                    hedges_inflight_.fetch_sub(
-                        1, std::memory_order_relaxed);
-                    continue; // budget refused; keep waiting unhedged
-                }
-                ++req.hedges;
-                lock.unlock();
-                {
-                    std::lock_guard<std::mutex> elock(mu_);
-                    ++stats_.hedges_issued;
-                }
-                launch(/*is_backup=*/true);
-                lock.lock();
-                continue;
-            }
-            next = std::min(next, until_hedge);
-        }
-        state->cv.wait_for(lock,
-                           std::chrono::duration<double>(
-                               std::max(next, 1e-4)),
-                           settled);
-    }
-
-    if (!state->winner) {
-        std::exception_ptr err = state->first_error;
-        lock.unlock();
-        if (err)
-            std::rethrow_exception(err);
-        throwError(ErrorKind::Transient,
-                   "guarded fetch: all attempts settled with no "
-                   "result for object %llu",
-                   static_cast<unsigned long long>(req.id));
-    }
-
-    const bool backup_won = state->winner_is_backup;
-    std::vector<uint8_t> win_buf = std::move(state->win_buf);
-    const size_t got = state->win_got;
-    lock.unlock();
-
-    delivery.bytes.insert(
-        delivery.bytes.end(),
-        win_buf.begin() + static_cast<ptrdiff_t>(begin),
-        win_buf.end());
-    if (may_hedge) {
-        std::lock_guard<std::mutex> lk(hedge_mu_);
-        hedge_lat_.record(Clock::steady().now() - t0);
-    }
-    if (backup_won && req.hedges > 0) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.hedge_wins;
-    }
-    return got;
 }
 
 void
@@ -952,7 +679,6 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     int resolution = 0;
     int kprev = 0;
     int total = 0;
-    size_t bytes = 0;
     bool capped = false;
     bool tier_capped = false;
     bool charged_full = false;
@@ -961,7 +687,7 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     DecodeCache::EntryPtr hit;
 
     // Stage-boundary poll: client/deadline firings end the request at
-    // the next boundary (the Cancelled catch below maps them);
+    // the next boundary (processOne's Cancelled handler maps them);
     // watchdog firings are left to the fetch/retry path, which
     // degrades instead — the CPU stages between fetches are short.
     auto pollCancel = [&] {
@@ -977,201 +703,181 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
     const int tier =
         bc.enable ? brownout_tier_.load(std::memory_order_relaxed) : 0;
 
-    try {
-        if (cfg_.fixed_resolution > 0) {
-            // Static mode: no preview fetch, no scale model — the
-            // measured baseline through identical machinery.
-            resolution = cfg_.fixed_resolution;
-            for (size_t i = 1; i < grid.size(); ++i) {
-                if (std::abs(grid[i] - resolution) <
-                    std::abs(grid[r_idx] - resolution))
-                    r_idx = static_cast<int>(i);
-            }
-        } else {
-            // Stage 1: ranged read + partial decode of the preview
-            // scans. A calibrated policy may demand ZERO preview
-            // scans (the threshold is already met by the mid-gray
-            // reconstruction); then nothing is fetched and the scale
-            // model sees the same 0-scan preview the inline pipeline
-            // would. A preview shortfall after retries is NON-fatal:
-            // the scale model sees whatever prefix decoded (possibly
-            // mid-gray), and the stage-4 fetch below still tries to
-            // recover the gap.
-            kprev = cfg_.preview_depth
-                        ? cfg_.preview_depth(req.id)
-                        : cfg_.preview_scans;
-            kprev = std::clamp(kprev, 0, num_scans);
-            // Brownout tier >= 1 caps how much preview evidence a
-            // request may buy: cheaper decisions, shallower reads.
-            if (tier >= 1)
-                kprev = std::min(kprev, std::max(0, bc.preview_cap));
-            // Decode cache, stage 1: a cached prefix at or past the
-            // preview depth replaces the fetch entirely (zero store
-            // bytes charged). The resumed decoder never reads bytes
-            // below its resume offset, so a zero-filled placeholder
-            // prefix stands in for the bytes the skipped fetch would
-            // have delivered; a stage-4 fetch appends real bytes
-            // after it.
-            if (cfg_.cache && kprev > 0)
-                hit = cfg_.cache->lookup(req.id, kprev, num_scans);
-            if (hit) {
-                delivery.bytes.assign(
-                    delivery.scan_offsets[hit->depth], 0);
-                dec = ProgressiveDecoder(delivery, hit->snap);
-                dec.setCancel(&req.cancel_);
-                std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.cache_hits;
-                stats_.cache_bytes_saved += static_cast<uint64_t>(
-                    delivery.scan_offsets[hit->depth]);
-            } else if (kprev > 0) {
-                if (cfg_.cache) {
-                    std::lock_guard<std::mutex> lock(mu_);
-                    ++stats_.cache_misses;
-                }
-                fetchScansWithRetry(req, delivery, dec, kprev, bytes,
-                                    charged_full, t0);
-            }
-            pollCancel();
-            heartbeat(req, "scale-model");
-
-            // Stage 2: scale-model inference on the decoded preview.
-            // A hit may carry its preview pixels ready-made; snapshot-
-            // only entries (and misses) materialize them here.
-            const Image preview_full = hit && !hit->preview.empty()
-                                           ? hit->preview
-                                           : dec.image();
-            // Offer the freshly decoded preview for caching (misses
-            // only — a hit's entry is already resident). A degraded
-            // preview (retry budget ran out short of kprev) is not
-            // offered: the next clean decode defines the cached
-            // prefix.
-            if (cfg_.cache && !hit && kprev > 0 &&
-                dec.scansDecoded() == kprev)
-                cfg_.cache->insert(req.id, kprev, preview_full,
-                                   dec.snapshot());
-            const Image preview =
-                resize(centerCropFraction(preview_full,
-                                          cfg_.crop_area),
-                       scale_->options().input_res,
-                       scale_->options().input_res);
-            {
-                std::lock_guard<std::mutex> lock(scale_mu_);
-                r_idx = scale_->chooseResolutionIndex(preview);
-            }
-
-            // Stage 3: resolution decision — the scale model's
-            // choice, capped by the queue-depth shed policy under
-            // load.
-            const int cap = cfg_.shed_cap ? cfg_.shed_cap(depth) : 0;
-            if (cap > 0 && grid[r_idx] > cap) {
-                int lowered = 0;
-                for (size_t i = 0; i < grid.size(); ++i) {
-                    if (grid[i] <= cap &&
-                        grid[i] >= grid[lowered])
-                        lowered = static_cast<int>(i);
-                }
-                r_idx = lowered;
-                capped = true;
-            }
-
-            // Brownout tier >= 2 sheds resolution to a floor
-            // regardless of queue depth — the controller has
-            // evidence the system is not keeping up at current
-            // quality.
-            if (tier >= 2) {
-                const int floor_res =
-                    bc.resolution_cap > 0
-                        ? bc.resolution_cap
-                        : *std::min_element(grid.begin(), grid.end());
-                int lowered = 0;
-                for (size_t i = 0; i < grid.size(); ++i) {
-                    if (grid[i] <= floor_res &&
-                        grid[i] >= grid[lowered])
-                        lowered = static_cast<int>(i);
-                }
-                if (grid[r_idx] > grid[lowered]) {
-                    r_idx = lowered;
-                    tier_capped = true;
-                }
-            }
-            resolution = grid[r_idx];
+    if (cfg_.fixed_resolution > 0) {
+        // Static mode: no preview fetch, no scale model — the
+        // measured baseline through identical machinery.
+        resolution = cfg_.fixed_resolution;
+        for (size_t i = 1; i < grid.size(); ++i) {
+            if (std::abs(grid[i] - resolution) <
+                std::abs(grid[r_idx] - resolution))
+                r_idx = static_cast<int>(i);
         }
-
-        // Stage 4: ranged read + resumed decode of the remaining
-        // scans the decision needs. The decoder continues from the
-        // preview state — no scan is decoded twice. The full-read
-        // denominator is charged by whichever fetch starts at scan 0
-        // (at most one per request: the stage-1 read, or this one
-        // when no preview byte was fetched). When the retry budget
-        // runs out the request is served DEGRADED at the scan depth
-        // already decoded.
-        pollCancel();
-        heartbeat(req, "resume-fetch");
-        total = cfg_.scan_depth ? cfg_.scan_depth(req.id, r_idx)
-                                : num_scans;
-        total = std::clamp(total, kprev, num_scans);
-        // Brownout tier >= 1 also caps the total scan depth (never
-        // below what the preview already decoded).
+    } else {
+        // Stage 1: ranged read + partial decode of the preview
+        // scans. A calibrated policy may demand ZERO preview
+        // scans (the threshold is already met by the mid-gray
+        // reconstruction); then nothing is fetched and the scale
+        // model sees the same 0-scan preview the inline pipeline
+        // would. A preview shortfall after retries is NON-fatal:
+        // the scale model sees whatever prefix decoded (possibly
+        // mid-gray), and the stage-4 fetch below still tries to
+        // recover the gap.
+        kprev = cfg_.preview_depth
+                    ? cfg_.preview_depth(req.id)
+                    : cfg_.preview_scans;
+        kprev = std::clamp(kprev, 0, num_scans);
+        // Brownout tier >= 1 caps how much preview evidence a
+        // request may buy: cheaper decisions, shallower reads.
         if (tier >= 1)
-            total = std::min(total, std::max(bc.scan_cap, kprev));
-        // Decode cache, stage 4: a cached prefix strictly deeper than
-        // what this request holds (up to the target) lets the decoder
-        // jump ahead and fetch only the missing range — the partial
-        // hit charges only the delta. Same zero-filled placeholder
-        // trick as stage 1.
-        bool fetched_tail = false;
-        if (cfg_.cache && dec.scansDecoded() < total) {
-            const DecodeCache::EntryPtr deep = cfg_.cache->lookup(
-                req.id, dec.scansDecoded() + 1, total);
-            if (deep) {
-                const uint64_t skipped = static_cast<uint64_t>(
-                    delivery.scan_offsets[deep->depth] -
-                    delivery.scan_offsets[dec.scansDecoded()]);
-                delivery.bytes.assign(
-                    delivery.scan_offsets[deep->depth], 0);
-                dec = ProgressiveDecoder(delivery, deep->snap);
-                dec.setCancel(&req.cancel_);
+            kprev = std::min(kprev, std::max(0, bc.preview_cap));
+        req.preview_scans = kprev;
+        // Decode cache, stage 1: a cached prefix at or past the
+        // preview depth replaces the fetch entirely (zero store
+        // bytes charged). The resumed decoder never reads bytes
+        // below its resume offset, so a zero-filled placeholder
+        // prefix stands in for the bytes the skipped fetch would
+        // have delivered; a stage-4 fetch appends real bytes
+        // after it.
+        if (cfg_.cache && kprev > 0)
+            hit = cfg_.cache->lookup(req.id, kprev, num_scans);
+        if (hit) {
+            delivery.bytes.assign(
+                delivery.scan_offsets[hit->depth], 0);
+            dec = ProgressiveDecoder(delivery, hit->snap);
+            dec.setCancel(&req.cancel_);
+            req.scans_read = dec.scansDecoded();
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.cache_hits;
+            stats_.cache_bytes_saved += static_cast<uint64_t>(
+                delivery.scan_offsets[hit->depth]);
+        } else if (kprev > 0) {
+            if (cfg_.cache) {
                 std::lock_guard<std::mutex> lock(mu_);
-                ++stats_.cache_resumes;
-                stats_.cache_bytes_saved += skipped;
+                ++stats_.cache_misses;
+            }
+            fetchScansWithRetry(req, delivery, dec, kprev, charged_full,
+                                t0);
+        }
+        pollCancel();
+        heartbeat(req, "scale-model");
+
+        // Stage 2: scale-model inference on the decoded preview.
+        // A hit may carry its preview pixels ready-made; snapshot-
+        // only entries (and misses) materialize them here.
+        const Image preview_full = hit && !hit->preview.empty()
+                                       ? hit->preview
+                                       : dec.image();
+        // Offer the freshly decoded preview for caching (misses
+        // only — a hit's entry is already resident). A degraded
+        // preview (retry budget ran out short of kprev) is not
+        // offered: the next clean decode defines the cached
+        // prefix.
+        if (cfg_.cache && !hit && kprev > 0 &&
+            dec.scansDecoded() == kprev)
+            cfg_.cache->insert(req.id, kprev, preview_full,
+                               dec.snapshot());
+        const Image preview =
+            resize(centerCropFraction(preview_full,
+                                      cfg_.crop_area),
+                   scale_->options().input_res,
+                   scale_->options().input_res);
+        {
+            std::lock_guard<std::mutex> lock(scale_mu_);
+            r_idx = scale_->chooseResolutionIndex(preview);
+        }
+
+        // Stage 3: resolution decision — the scale model's
+        // choice, capped by the queue-depth shed policy under
+        // load.
+        const int cap = cfg_.shed_cap ? cfg_.shed_cap(depth) : 0;
+        if (cap > 0 && grid[r_idx] > cap) {
+            int lowered = 0;
+            for (size_t i = 0; i < grid.size(); ++i) {
+                if (grid[i] <= cap &&
+                    grid[i] >= grid[lowered])
+                    lowered = static_cast<int>(i);
+            }
+            r_idx = lowered;
+            capped = true;
+        }
+
+        // Brownout tier >= 2 sheds resolution to a floor
+        // regardless of queue depth — the controller has
+        // evidence the system is not keeping up at current
+        // quality.
+        if (tier >= 2) {
+            const int floor_res =
+                bc.resolution_cap > 0
+                    ? bc.resolution_cap
+                    : *std::min_element(grid.begin(), grid.end());
+            int lowered = 0;
+            for (size_t i = 0; i < grid.size(); ++i) {
+                if (grid[i] <= floor_res &&
+                    grid[i] >= grid[lowered])
+                    lowered = static_cast<int>(i);
+            }
+            if (grid[r_idx] > grid[lowered]) {
+                r_idx = lowered;
+                tier_capped = true;
             }
         }
-        if (dec.scansDecoded() < total) {
-            fetched_tail = true;
-            fetchScansWithRetry(req, delivery, dec, total, bytes,
-                                charged_full, now());
-        }
-        // Offer the full-depth prefix when this request paid a
-        // physical fetch to reach it. Snapshot-only (empty preview):
-        // decision-only serving never materializes these pixels, and
-        // a resuming hit re-derives them on demand.
-        if (cfg_.cache && fetched_tail && total > 0 &&
-            dec.scansDecoded() == total)
-            cfg_.cache->insert(req.id, total, Image(), dec.snapshot());
-        pollCancel();
-    } catch (const Error &e) {
-        if (e.kind() != ErrorKind::Cancelled)
-            throw;
-        // Cancelled mid-pipeline at a clean prefix boundary: meter
-        // what was actually read, then terminate by the reason that
-        // fired (client hangup vs. deadline expiry). Output fields
-        // are not valid, but the accounting is.
-        req.preview_scans = kprev;
-        req.scans_read = dec.scansDecoded();
-        req.scans_intended = total;
-        req.bytes_read = bytes;
-        req.decode_s = now() - req.submit_s_;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.scans_read += static_cast<uint64_t>(dec.scansDecoded());
-            stats_.bytes_read += bytes;
-        }
-        markTerminal(req,
-                     req.cancel_.reason() == CancelReason::Client
-                         ? StagedState::Cancelled
-                         : StagedState::Expired);
-        return;
+        resolution = grid[r_idx];
     }
+
+    // Stage 4: ranged read + resumed decode of the remaining
+    // scans the decision needs. The decoder continues from the
+    // preview state — no scan is decoded twice. The full-read
+    // denominator is charged by whichever fetch starts at scan 0
+    // (at most one per request: the stage-1 read, or this one
+    // when no preview byte was fetched). When the retry budget
+    // runs out the request is served DEGRADED at the scan depth
+    // already decoded.
+    pollCancel();
+    heartbeat(req, "resume-fetch");
+    total = cfg_.scan_depth ? cfg_.scan_depth(req.id, r_idx)
+                            : num_scans;
+    total = std::clamp(total, kprev, num_scans);
+    // Brownout tier >= 1 also caps the total scan depth (never
+    // below what the preview already decoded).
+    if (tier >= 1)
+        total = std::min(total, std::max(bc.scan_cap, kprev));
+    req.scans_intended = total;
+    // Decode cache, stage 4: a cached prefix strictly deeper than
+    // what this request holds (up to the target) lets the decoder
+    // jump ahead and fetch only the missing range — the partial
+    // hit charges only the delta. Same zero-filled placeholder
+    // trick as stage 1.
+    bool fetched_tail = false;
+    if (cfg_.cache && dec.scansDecoded() < total) {
+        const DecodeCache::EntryPtr deep = cfg_.cache->lookup(
+            req.id, dec.scansDecoded() + 1, total);
+        if (deep) {
+            const uint64_t skipped = static_cast<uint64_t>(
+                delivery.scan_offsets[deep->depth] -
+                delivery.scan_offsets[dec.scansDecoded()]);
+            delivery.bytes.assign(
+                delivery.scan_offsets[deep->depth], 0);
+            dec = ProgressiveDecoder(delivery, deep->snap);
+            dec.setCancel(&req.cancel_);
+            req.scans_read = dec.scansDecoded();
+            std::lock_guard<std::mutex> lock(mu_);
+            ++stats_.cache_resumes;
+            stats_.cache_bytes_saved += skipped;
+        }
+    }
+    if (dec.scansDecoded() < total) {
+        fetched_tail = true;
+        fetchScansWithRetry(req, delivery, dec, total, charged_full,
+                            now());
+    }
+    // Offer the full-depth prefix when this request paid a
+    // physical fetch to reach it. Snapshot-only (empty preview):
+    // decision-only serving never materializes these pixels, and
+    // a resuming hit re-derives them on demand.
+    if (cfg_.cache && fetched_tail && total > 0 &&
+        dec.scansDecoded() == total)
+        cfg_.cache->insert(req.id, total, Image(), dec.snapshot());
+    pollCancel();
     const int achieved = dec.scansDecoded();
     const bool degraded = achieved < total;
     // Nothing decoded at all when the decision needed data: there is
@@ -1182,16 +888,12 @@ StagedServingEngine::processOneImpl(StagedRequest &req, int depth)
 
     req.resolution = resolution;
     req.resolution_index = r_idx;
-    req.preview_scans = kprev;
-    req.scans_read = achieved;
-    req.scans_intended = total;
-    req.bytes_read = bytes;
 
     {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.decoded;
         stats_.scans_read += static_cast<uint64_t>(achieved);
-        stats_.bytes_read += bytes;
+        stats_.bytes_read += req.bytes_read;
         stats_.resolution_hist[static_cast<size_t>(r_idx)] += 1;
         if (capped)
             ++stats_.shed_cap_applied;

@@ -71,13 +71,12 @@
  * fleet-level ones. (1) A BreakerObjectStore (storage/breaker.hh)
  * wrapped around the store fail-fasts fetches while the tier is sick;
  * the retry loop honors Error::failFast() by skipping its backoff and
- * degrading immediately. (2) Hedged reads: when a stage-1/4 fetch
- * exceeds a quantile-tracked delay, ONE backup fetch is issued on a
- * small dedicated pool and the first success wins; the loser is
- * discarded but its bytes are still charged (honest metering), and a
- * per-request cap plus a global in-flight budget prevent hedge
- * storms. Hedge timing is real wall-clock time by design — it races
- * real threads — so hedge tests inject real (small) latencies.
+ * degrading immediately. (2) Hedged reads: with hedging enabled the
+ * engine reads through a HedgedObjectStore (storage/hedged_store.hh)
+ * around the store it was given, which races ONE backup against a
+ * slow stage-1/4 fetch and joins the loser before the fetch returns;
+ * the loser's bytes still count in bytes_read (honest metering).
+ * Hedge timing is wall-clock, so hedge tests inject real latencies.
  * (3) A brownout controller watches a sliding window of terminal
  * outcomes (and deadline headroom on successes) and shifts a quality
  * tier hysteretically: tier 1 caps preview/scan depth, tier 2 also
@@ -93,12 +92,10 @@
  * expiry maps to Expired without burning further I/O or CPU;
  * cancellation only ever lands on clean scan boundaries, so partial
  * results stay bit-identical to clean decodes of the same prefix.
- * When stage_timeout_s > 0 every storage read runs on the shared I/O
- * pool under a hard wall-clock bound: on timeout the worker ABANDONS
- * the read (counted in reads_abandoned; a late completion is
- * discarded but its bytes are still metered; on the storage path the
- * give-up surfaces as a breaker-counted Transient) and falls into the
- * retry/degrade ladder instead of blocking. A Watchdog
+ * Each read attempt carries a token chained under the request's that
+ * also fires Abandoned when stage_timeout_s runs out, so a wedged read
+ * unwinds on its own worker (reads_abandoned) and the request drops
+ * into the retry/degrade ladder instead of blocking. A Watchdog
  * (util/watchdog.hh) supervises the decode workers' heartbeats and
  * fail-fasts any request holding a worker silent past the liveness
  * budget. Terminal conservation extends to
@@ -118,6 +115,7 @@
 #include "core/engine.hh"
 #include "core/scale_model.hh"
 #include "storage/decode_cache.hh"
+#include "storage/hedged_store.hh"
 #include "storage/object_store.hh"
 #include "util/cancel.hh"
 #include "util/clock.hh"
@@ -163,7 +161,6 @@ struct StagedRequest
     int scans_intended = 0;   //!< scans the decision wanted
     size_t bytes_read = 0;    //!< total bytes fetched (both ranges)
     int retries = 0;          //!< fetch attempts beyond the first
-    int hedges = 0;           //!< backup fetches issued for this request
     double decode_s = 0.0;    //!< submit -> backbone-stage handoff
     double latency_s = 0.0;   //!< submit -> terminal
 
@@ -215,45 +212,14 @@ struct StagedRetryConfig
      * Per-stage fetch budget in seconds (0 = none). When set, it
      * bounds BOTH halves of a fetch stage: retry backoff sleeps are
      * charged against it (a sleep that does not fit is abandoned and
-     * the request degrades), and every physical storage read runs on
-     * the engine's I/O pool under the budget's remaining wall-clock
-     * time — a read still in flight when the budget lapses is
-     * ABANDONED (timed-fetch containment: the worker stops waiting,
-     * counts reads_abandoned, and falls into the retry/degrade
-     * ladder; the abandoned read's late completion is discarded but
-     * its bytes still meter, and a wedged read is woken via the
-     * fetch's cancellation token and counted as a breaker failure).
+     * the request degrades), and every physical storage read carries
+     * a token that fires Abandoned when the budget's remaining
+     * wall-clock time runs out, unwinding a read still in flight
+     * (counted in reads_abandoned; its delivered bytes still meter).
      * Budget time comes from the engine clock; the in-flight bound is
-     * wall-clock by construction, like hedge timing.
+     * wall-clock, since a wedged read advances no injectable clock.
      */
     double stage_timeout_s = 0;
-};
-
-/**
- * Hedged-read policy for stages 1/4 (Dean's tail-at-scale move).
- *
- * When a fetch has been in flight longer than the hedge delay — the
- * delay_quantile of recent successful fetch latencies, clamped to
- * [min_delay_s, max_delay_s] and bootstrapped at max_delay_s until
- * enough samples exist — ONE backup fetch for the same range is
- * issued on a dedicated pool; the first success is adopted and the
- * loser's delivered bytes are still charged to bytes_read (honest
- * metering; the store's own ReadStats meter both fetches anyway).
- * max_per_request and inflight_budget bound the extra traffic so a
- * sick store cannot amplify load. Hedge timing is wall-clock by
- * construction (it races real threads); it ignores any injected
- * engine clock.
- */
-struct HedgeConfig
-{
-    bool enable = false;
-    double delay_quantile = 0.95; //!< hedge past this latency quantile
-    double min_delay_s = 1e-3;    //!< hedge-delay floor
-    double max_delay_s = 0.1;     //!< hedge-delay ceiling + bootstrap
-    int max_per_request = 1;      //!< backup fetches per request
-    int inflight_budget = 4;      //!< global concurrent backup cap
-    int pool_threads = 0;         //!< 0 = decode_workers + 2
-    int latency_window = 64;      //!< samples kept for the quantile
 };
 
 /**
@@ -410,11 +376,12 @@ struct StagedEngineConfig
 /**
  * Counter snapshot from StagedServingEngine::stats().
  *
- * Consistency: stats() assembles the whole struct inside ONE critical
- * section on the engine's counter lock, so the counters in a snapshot
- * are mutually consistent — e.g. the terminal-conservation identity
- * below holds within a single snapshot whenever it holds at all, and
- * bytes_read never lags the decode that charged it.
+ * Consistency: stats() copies the engine's counters inside ONE
+ * critical section on the engine's counter lock, so they are mutually
+ * consistent — e.g. the terminal-conservation identity below holds
+ * within a single snapshot whenever it holds at all, and bytes_read
+ * never lags the decode that charged it. The hedge counters and the
+ * hedge losers' bytes are added from the hedged store right after.
  *
  * Terminal conservation: once every submitted request has reached a
  * terminal state (all wait()s returned),
@@ -446,7 +413,7 @@ struct StagedStats
     uint64_t brownout_capped = 0; //!< decisions lowered by the tier
     uint64_t brownout_int8 = 0;   //!< requests routed to the int8 tier
     uint64_t cancelled = 0;       //!< terminal Cancelled (client)
-    uint64_t reads_abandoned = 0; //!< timed fetches given up in flight
+    uint64_t reads_abandoned = 0; //!< reads unwound by a fired token
     uint64_t watchdog_flags = 0;  //!< liveness flags raised on workers
 
     // Decode-cache effect on this engine's traffic (all zero with no
@@ -534,19 +501,13 @@ class StagedServingEngine
     }
 
   private:
-    class IoPool;
-
     void decodeLoop();
     void processOne(StagedRequest &req, int depth);
     void processOneImpl(StagedRequest &req, int depth);
     bool fetchScansWithRetry(StagedRequest &req,
                              EncodedImage &delivery,
                              ProgressiveDecoder &dec, int target,
-                             size_t &bytes, bool &charged_full,
-                             double stage_start_s);
-    size_t guardedFetch(StagedRequest &req, int from, int target,
-                        EncodedImage &delivery, bool charge_full,
-                        double stage_start_s);
+                             bool &charged_full, double stage_start_s);
     void markTerminal(StagedRequest &req, StagedState state);
     /** Heartbeat this worker's watchdog slot (no-op unsupervised). */
     void heartbeat(StagedRequest &req, const char *phase);
@@ -560,7 +521,8 @@ class StagedServingEngine
     void brownoutEvaluateLocked(double now_s);
     double now() const;
 
-    ObjectStore *store_;
+    ObjectStore *store_; //!< what reads go through (maybe hedged_)
+    std::unique_ptr<HedgedObjectStore> hedged_; //!< null unless hedging
     const ScaleModel *scale_;
     Graph *backbone_;
     StagedEngineConfig cfg_;
@@ -570,7 +532,6 @@ class StagedServingEngine
     double epoch_s_ = 0; //!< clock_->now() at construction
 
     mutable std::mutex mu_;
-    std::mutex stop_mu_; //!< serializes stop() (pool teardown order)
     std::condition_variable work_cv_; //!< decode workers: queue state
     std::condition_variable done_cv_; //!< clients: completion / drain
     std::deque<StagedRequest *> queue_;
@@ -580,16 +541,6 @@ class StagedServingEngine
     // The scale model's forward pass reuses internal activation
     // buffers, so concurrent decode workers serialize inference.
     mutable std::mutex scale_mu_;
-
-    // Detached I/O: the pool that runs hedged AND timed fetches, plus
-    // the wall-clock hedge latency window (hedge_mu_ guards hedge_lat_
-    // only; the in-flight budget is a bare atomic so backup
-    // completions never take an engine lock). The pool exists when
-    // hedging is enabled OR stage_timeout_s > 0.
-    std::unique_ptr<IoPool> io_pool_; //!< null when neither is on
-    mutable std::mutex hedge_mu_;
-    QuantileWindow hedge_lat_;
-    std::atomic<int> hedges_inflight_{0};
 
     // Worker supervision: the watchdog plus the worker -> in-flight
     // request map its flag callback uses to fire the right token.
@@ -609,7 +560,7 @@ class StagedServingEngine
     // the workers and copied wholesale by stats() — a snapshot is a
     // single critical section, never a field-at-a-time stitch. The
     // live-state fields (decode_queue_depth, brownout_tier, cache,
-    // backbone) are filled in at snapshot time, not maintained here.
+    // backbone, hedges) are filled in at snapshot time, not here.
     StagedStats stats_;
 
     std::vector<std::thread> threads_;

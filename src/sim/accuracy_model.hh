@@ -22,8 +22,7 @@
  * so correctness is deterministic, reproducible, and consistent across
  * resolutions for a given trained-model instance.
  *
- * Parameters are calibrated against the paper's reported numbers
- * (EXPERIMENTS.md records paper-vs-ours for every anchor).
+ * Parameters are calibrated against the paper's reported numbers.
  */
 
 #ifndef TAMRES_SIM_ACCURACY_MODEL_HH

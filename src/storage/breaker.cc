@@ -20,40 +20,10 @@ breakerStateName(BreakerState state)
 
 BreakerObjectStore::BreakerObjectStore(ObjectStore &base,
                                        BreakerConfig config)
-    : base_(&base), cfg_(config),
+    : ObjectStoreDecorator(base), cfg_(config),
       clock_(config.clock ? config.clock : &Clock::steady()),
       window_(config.window_s), latency_(config.latency_alpha)
 {}
-
-void
-BreakerObjectStore::put(uint64_t id, EncodedImage image)
-{
-    base_->put(id, std::move(image));
-}
-
-bool
-BreakerObjectStore::contains(uint64_t id) const
-{
-    return base_->contains(id);
-}
-
-uint64_t
-BreakerObjectStore::storedBytes() const
-{
-    return base_->storedBytes();
-}
-
-size_t
-BreakerObjectStore::size() const
-{
-    return base_->size();
-}
-
-const EncodedImage &
-BreakerObjectStore::peek(uint64_t id) const
-{
-    return base_->peek(id);
-}
 
 ReadStats
 BreakerObjectStore::stats() const

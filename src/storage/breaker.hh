@@ -105,24 +105,14 @@ struct BreakerStats
  * is unhealthy. Thread-safe to the same degree as the base store;
  * state transitions sit behind one mutex that is NOT held across the
  * base fetch, so healthy traffic runs at full concurrency.
- *
- * Does not own the base store; it must outlive the wrapper.
  */
-class BreakerObjectStore : public ObjectStore
+class BreakerObjectStore : public ObjectStoreDecorator
 {
   public:
     BreakerObjectStore(ObjectStore &base, BreakerConfig config);
 
-    // Structural + pass-through surface (the convenience reads are
-    // non-virtual wrappers on the base class and need no forwarding).
-    void put(uint64_t id, EncodedImage image) override;
-    bool contains(uint64_t id) const override;
-    uint64_t storedBytes() const override;
-    size_t size() const override;
-    const EncodedImage &peek(uint64_t id) const override;
     ReadStats stats() const override;
     void resetStats() override;
-    ObjectStore &root() override { return base_->root(); }
 
     /** The guarded path: fail fast when Open, probe when HalfOpen. */
     size_t fetchScanRange(uint64_t id, int from_scans, int to_scans,
@@ -149,7 +139,6 @@ class BreakerObjectStore : public ObjectStore
     void settle(double now, bool is_probe, bool failed,
                 double elapsed_s);
 
-    ObjectStore *base_;
     BreakerConfig cfg_;
     Clock *clock_;
 

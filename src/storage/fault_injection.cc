@@ -5,6 +5,7 @@
 #include <cmath>
 #include <thread>
 
+#include "util/clock.hh"
 #include "util/error.hh"
 #include "util/rng.hh"
 
@@ -44,36 +45,6 @@ rangeKey(uint64_t id, int from, int to)
 }
 
 } // namespace
-
-void
-FaultyObjectStore::put(uint64_t id, EncodedImage image)
-{
-    base_->put(id, std::move(image));
-}
-
-bool
-FaultyObjectStore::contains(uint64_t id) const
-{
-    return base_->contains(id);
-}
-
-uint64_t
-FaultyObjectStore::storedBytes() const
-{
-    return base_->storedBytes();
-}
-
-size_t
-FaultyObjectStore::size() const
-{
-    return base_->size();
-}
-
-const EncodedImage &
-FaultyObjectStore::peek(uint64_t id) const
-{
-    return base_->peek(id);
-}
 
 ReadStats
 FaultyObjectStore::stats() const
@@ -180,8 +151,17 @@ FaultyObjectStore::fetchScanRange(uint64_t id, int from_scans,
             std::lock_guard<std::mutex> lock(mu_);
             ++fault_stats_.faults_delayed;
         }
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(d.delay_s));
+        // Injected latency is cooperative like a hang: the sleep polls
+        // the token (a fired deadline or parent has no notifier) and a
+        // read whose token fires unwinds before delivering anything.
+        const double until = Clock::steady().now() + d.delay_s;
+        for (double left = d.delay_s; left > 0;
+             left = until - Clock::steady().now()) {
+            if (cancel != nullptr)
+                cancel->throwIfFired();
+            std::this_thread::sleep_for(std::chrono::duration<double>(
+                cancel != nullptr ? std::min(left, 1e-3) : left));
+        }
     }
     if (d.hang) {
         // A wedged read: block until the caller's token fires or the

@@ -53,7 +53,12 @@ struct FaultContext
  */
 struct FaultDecision
 {
-    double delay_s = 0;               //!< added latency before delivery
+    /**
+     * Added latency before delivery. The wait ends early when the
+     * caller's CancelToken fires; the read then throws by the token's
+     * reason and delivers (and meters) nothing.
+     */
+    double delay_s = 0;
     bool fail = false;                //!< throw Error{Transient}
     size_t deliver_bytes = SIZE_MAX;  //!< cap on delivered bytes
     int64_t flip_bit = -1;            //!< bit index to flip in the range
@@ -61,7 +66,7 @@ struct FaultDecision
      * Wedge this read indefinitely: it blocks until the caller's
      * CancelToken fires or releaseHangs() is called, then throws
      * (nothing is delivered). Unlike delay_s — which is capped at
-     * latency_max_s and always completes — a hang models a truly
+     * latency_max_s and otherwise completes — a hang models a truly
      * stuck I/O that only supervision can unblock.
      */
     bool hang = false;
@@ -100,26 +105,16 @@ struct FaultPolicy
  * per-range attempt counters sit behind their own mutex). stats()
  * returns the BASE store's accounting merged with this wrapper's fault
  * counters, so existing byte-savings assertions keep holding.
- *
- * The wrapper does not own the base store; it must outlive the wrapper.
  */
-class FaultyObjectStore : public ObjectStore
+class FaultyObjectStore : public ObjectStoreDecorator
 {
   public:
     FaultyObjectStore(ObjectStore &base, FaultPolicy policy)
-        : base_(&base), policy_(std::move(policy))
+        : ObjectStoreDecorator(base), policy_(std::move(policy))
     {}
 
-    // Structural + pass-through surface (the convenience reads are
-    // non-virtual wrappers on the base class and need no forwarding).
-    void put(uint64_t id, EncodedImage image) override;
-    bool contains(uint64_t id) const override;
-    uint64_t storedBytes() const override;
-    size_t size() const override;
-    const EncodedImage &peek(uint64_t id) const override;
     ReadStats stats() const override;
     void resetStats() override;
-    ObjectStore &root() override { return base_->root(); }
 
     /** The perturbed path: delay / fail / hang / truncate / corrupt. */
     size_t fetchScanRange(uint64_t id, int from_scans, int to_scans,
@@ -144,7 +139,6 @@ class FaultyObjectStore : public ObjectStore
   private:
     FaultDecision decide(const FaultContext &ctx);
 
-    ObjectStore *base_;
     FaultPolicy policy_;
 
     mutable std::mutex mu_; //!< guards attempts_, fault_stats_, hangs

@@ -16,10 +16,19 @@
  * the only method that physically delivers and meters payload bytes.
  * The convenience reads (readScans, readAdditionalScans,
  * readScanRangeBytes) are non-virtual wrappers implemented on it, so a
- * decorator (FaultyObjectStore's injection, BreakerObjectStore's
- * admission, a decode cache's invalidation hook) overrides exactly one
- * method and its semantics — metering, faults, breaker verdicts —
- * can never diverge across entry points.
+ * decorator overrides exactly one method and its semantics — metering,
+ * faults, breaker verdicts, hedges — can never diverge across entry
+ * points. The decorators, all built on ObjectStoreDecorator:
+ *
+ *   - FaultyObjectStore (storage/fault_injection.hh): seeded latency,
+ *     hangs, transient errors, short reads and bit flips;
+ *   - BreakerObjectStore (storage/breaker.hh): fail-fast admission
+ *     while the tier is sick;
+ *   - HedgedObjectStore (storage/hedged_store.hh): one backup read per
+ *     slow call, joined before the call returns.
+ *
+ * put() on any of them reaches the attached decode caches'
+ * invalidation hook at the root.
  */
 
 #ifndef TAMRES_STORAGE_OBJECT_STORE_HH
@@ -28,6 +37,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "codec/progressive.hh"
@@ -54,6 +64,11 @@ struct ReadStats
     uint64_t breaker_fast_fails = 0; //!< fetches rejected while Open
     uint64_t breaker_trips = 0;      //!< Closed/HalfOpen -> Open edges
 
+    // Hedging counters (zero without a HedgedObjectStore).
+    uint64_t hedges_issued = 0;     //!< backup reads started
+    uint64_t hedge_wins = 0;        //!< backups adopted over the primary
+    uint64_t hedge_loser_bytes = 0; //!< bytes the losing reads delivered
+
     /** Fraction of a full-read workload actually transferred. */
     double
     relativeReadSize() const
@@ -79,6 +94,9 @@ struct ReadStats
         faults_hung += other.faults_hung;
         breaker_fast_fails += other.breaker_fast_fails;
         breaker_trips += other.breaker_trips;
+        hedges_issued += other.hedges_issued;
+        hedge_wins += other.hedge_wins;
+        hedge_loser_bytes += other.hedge_loser_bytes;
     }
 };
 
@@ -229,6 +247,44 @@ class ObjectStore
     ReadStats stats_;
     mutable std::mutex cache_mu_; //!< guards caches_ only
     std::vector<DecodeCache *> caches_;
+};
+
+/**
+ * Base for decorators: forwards every virtual to the wrapped store, so
+ * a decorator overrides only what it changes — fetchScanRange, plus
+ * stats()/resetStats() when it keeps counters of its own. Does not own
+ * the wrapped store; it must outlive the decorator.
+ */
+class ObjectStoreDecorator : public ObjectStore
+{
+  public:
+    explicit ObjectStoreDecorator(ObjectStore &base) : base_(&base) {}
+
+    void put(uint64_t id, EncodedImage image) override
+    {
+        base_->put(id, std::move(image));
+    }
+    bool contains(uint64_t id) const override { return base_->contains(id); }
+    uint64_t storedBytes() const override { return base_->storedBytes(); }
+    size_t size() const override { return base_->size(); }
+    const EncodedImage &peek(uint64_t id) const override
+    {
+        return base_->peek(id);
+    }
+    ReadStats stats() const override { return base_->stats(); }
+    void resetStats() override { base_->resetStats(); }
+    ObjectStore &root() override { return base_->root(); }
+    size_t fetchScanRange(uint64_t id, int from_scans, int to_scans,
+                          std::vector<uint8_t> &dst, bool charge_full = true,
+                          size_t max_bytes = SIZE_MAX,
+                          const CancelToken *cancel = nullptr) override
+    {
+        return base_->fetchScanRange(id, from_scans, to_scans, dst,
+                                     charge_full, max_bytes, cancel);
+    }
+
+  protected:
+    ObjectStore *base_;
 };
 
 /**

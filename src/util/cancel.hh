@@ -3,12 +3,13 @@
  * Cooperative cancellation/deadline token for the request lifecycle.
  *
  * A CancelToken travels with a request from submit() to its terminal
- * state. It can fire for four reasons — the client gave up (Client),
+ * state. It can fire for five reasons — the client gave up (Client),
  * the request's absolute deadline passed on the injectable Clock
  * (Deadline), the serving watchdog flagged the worker holding it
- * (Watchdog), or a timed fetch abandoned the I/O carrying it
- * (Abandoned) — and every long-running stage of the pipeline polls it
- * at its own clean boundary:
+ * (Watchdog), the stage budget of a read ran out (Abandoned), or a
+ * hedged read lost its race to a sibling read of the same range
+ * (Superseded) — and every long-running stage of the pipeline polls
+ * it at its own clean boundary:
  *
  *   - ObjectStore::fetchScanRange between per-scan delivery chunks;
  *   - ProgressiveDecoder between scans (never inside one — a scan is
@@ -18,7 +19,9 @@
  *
  * The reason decides the throw and therefore the terminal: Client and
  * Deadline raise ErrorKind::Cancelled, which the engine maps to the
- * Cancelled / Expired terminals and never retries. Watchdog and
+ * Cancelled / Expired terminals and never retries. Superseded raises
+ * Cancelled too: the read is unwanted, not failed, so the circuit
+ * breaker releases it without judging the tier. Watchdog and
  * Abandoned raise a fail-fast Transient — "this operation was
  * abandoned by supervision" — which drops straight into the existing
  * retry/degrade ladder (no backoff sleep) and, on the storage path,
@@ -26,7 +29,11 @@
  *
  * Firing is one-way and first-reason-wins. A token armed with a
  * deadline fires lazily: reason() consults the clock, so a ManualClock
- * drives deadline expiry deterministically in tests.
+ * drives deadline expiry deterministically in tests; the deadline
+ * fires with a caller-chosen reason (Deadline by default). A token
+ * built over a parent reports the parent's firing before its own, so a
+ * per-read token adds its own bound to the request's without any
+ * registration. The parent must outlive the child.
  */
 
 #ifndef TAMRES_UTIL_CANCEL_HH
@@ -47,7 +54,8 @@ enum class CancelReason : int
     Client,    //!< caller invoked cancel(); maps to terminal Cancelled
     Deadline,  //!< absolute deadline passed; maps to terminal Expired
     Watchdog,  //!< supervisor flagged the worker; degrade fail-fast
-    Abandoned, //!< timed fetch gave up on this I/O; retry ladder
+    Abandoned, //!< the read's stage budget ran out; retry ladder
+    Superseded, //!< a sibling hedged read won; released, not failed
 };
 
 /** Short stable name for a CancelReason ("client", "deadline", ...). */
@@ -60,6 +68,7 @@ cancelReasonName(CancelReason reason)
       case CancelReason::Deadline: return "deadline";
       case CancelReason::Watchdog: return "watchdog";
       case CancelReason::Abandoned: return "abandoned";
+      case CancelReason::Superseded: return "superseded";
     }
     return "?";
 }
@@ -79,18 +88,26 @@ class CancelToken
     CancelToken() = default;
 
     /**
-     * Arm the deadline: the token fires with CancelReason::Deadline
-     * once @p clock .now() >= @p deadline_abs_s. The clock must
-     * outlive the token's last reader.
+     * A token chained under @p parent (non-owning; nullptr = none):
+     * reason() reports the parent's firing first, then its own.
+     */
+    explicit CancelToken(const CancelToken *parent) : parent_(parent) {}
+
+    /**
+     * Arm the deadline: the token fires with @p reason once
+     * @p clock .now() >= @p deadline_abs_s. The clock must outlive the
+     * token's last reader.
      */
     void
-    armDeadline(const Clock &clock, double deadline_abs_s)
+    armDeadline(const Clock &clock, double deadline_abs_s,
+                CancelReason reason = CancelReason::Deadline)
     {
         clock_ = &clock;
         deadline_abs_s_ = deadline_abs_s;
+        deadline_reason_ = reason;
     }
 
-    /** Disarm and clear, so a request object can be resubmitted. */
+    /** Disarm and clear (the parent link stays), for resubmission. */
     void
     reset()
     {
@@ -110,7 +127,7 @@ class CancelToken
                                         std::memory_order_relaxed);
     }
 
-    /** True iff cancel() was called (deadline expiry not included). */
+    /** True iff cancel() was called on this very token. */
     bool
     cancelled() const
     {
@@ -118,31 +135,36 @@ class CancelToken
     }
 
     /**
-     * Why the token has fired, or None. An explicitly set reason wins
-     * over deadline expiry; an armed, past deadline reports Deadline.
+     * Why the token has fired, or None. A fired parent wins; then an
+     * explicitly set reason; then an armed, past deadline, which
+     * reports the reason it was armed with.
      */
     CancelReason
     reason() const
     {
+        if (parent_ != nullptr) {
+            const CancelReason p = parent_->reason();
+            if (p != CancelReason::None)
+                return p;
+        }
         const int r = reason_.load(std::memory_order_acquire);
         if (r != 0)
             return static_cast<CancelReason>(r);
         if (clock_ != nullptr && clock_->now() >= deadline_abs_s_)
-            return CancelReason::Deadline;
+            return deadline_reason_;
         return CancelReason::None;
     }
 
     /** True once the token has fired for any reason. */
     bool fired() const { return reason() != CancelReason::None; }
 
-    /** Absolute deadline in the armed clock's units (0 = unarmed). */
-    double deadlineAbs() const { return deadline_abs_s_; }
-
     /**
      * Throw the reason-mapped Error if fired, else return.
      *
      *   Client, Deadline   -> Error{Cancelled}: the request is over;
      *                         never retried, mapped to a terminal.
+     *   Superseded         -> Error{Cancelled}: a hedged sibling won;
+     *                         the read is dropped, never judged.
      *   Watchdog, Abandoned-> Error{Transient, fail_fast}: this
      *                         *operation* was abandoned by
      *                         supervision; the retry ladder skips its
@@ -158,6 +180,7 @@ class CancelToken
             return;
           case CancelReason::Client:
           case CancelReason::Deadline:
+          case CancelReason::Superseded:
             throw Error(ErrorKind::Cancelled,
                         std::string("request cancelled (") +
                             cancelReasonName(r) + ")");
@@ -172,9 +195,11 @@ class CancelToken
     }
 
   private:
+    const CancelToken *parent_ = nullptr;
     std::atomic<int> reason_{0};
     const Clock *clock_ = nullptr;
     double deadline_abs_s_ = 0.0;
+    CancelReason deadline_reason_ = CancelReason::Deadline;
 };
 
 } // namespace tamres

@@ -13,7 +13,8 @@
  *    quantile extraction (hedge-delay tracking).
  *
  * None of these lock: each is embedded in an owner that already
- * serializes access (the breaker's mutex, the engine's stats mutex).
+ * serializes access (the breaker's mutex, the engine's stats mutex,
+ * the hedged store's latency mutex).
  * Time is passed in by the caller so the owner's injectable Clock is
  * the single source of truth.
  */
@@ -199,12 +200,6 @@ class QuantileWindow
                          scratch_.begin() + static_cast<ptrdiff_t>(k),
                          scratch_.end());
         return scratch_[k];
-    }
-
-    void
-    reset()
-    {
-        next_ = 0;
     }
 
   private:

@@ -1076,7 +1076,6 @@ TEST_F(StagedEngineTest, HedgedReadCutsInjectedTailLatency)
     cfg.overload.hedge.enable = true;
     cfg.overload.hedge.max_delay_s = 5e-3; // bootstrap hedge delay
     cfg.overload.hedge.min_delay_s = 1e-3;
-    cfg.overload.hedge.max_per_request = 2; // both stage fetches hedge
 
     std::vector<InlineRef> refs;
     for (int i = 0; i < kObjects; ++i)
@@ -1098,7 +1097,6 @@ TEST_F(StagedEngineTest, HedgedReadCutsInjectedTailLatency)
     EXPECT_EQ(req.scans_read, refs[0].scans);
     EXPECT_EQ(req.bytes_read, refs[0].bytes)
         << "the adopted winner delivered the exact clean range";
-    EXPECT_GE(req.hedges, 1);
     EXPECT_LT(elapsed, kSlow)
         << "hedge failed to cut the injected tail";
 
@@ -1492,7 +1490,6 @@ TEST_F(StagedEngineTest, HedgeBudgetZeroNeverHedges)
     const StagedStats st = engine.stats();
     EXPECT_EQ(st.hedges_issued, 0u);
     EXPECT_EQ(st.hedge_wins, 0u);
-    EXPECT_EQ(req.hedges, 0);
 }
 
 TEST_F(StagedEngineTest, CacheHitSkipsStageOneFetchAndChargesZero)

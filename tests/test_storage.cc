@@ -16,6 +16,7 @@
 #include "storage/breaker.hh"
 #include "storage/decode_cache.hh"
 #include "storage/fault_injection.hh"
+#include "storage/hedged_store.hh"
 #include "storage/object_store.hh"
 #include "util/cancel.hh"
 #include "util/clock.hh"
@@ -435,6 +436,53 @@ TEST(FaultInjection, HungReadWakesWhenTokenFires)
     EXPECT_EQ(store.stats().bytes_read, 0u);
 }
 
+TEST(FaultInjection, DelayedReadWakesWhenTokenFires)
+{
+    // Injected latency is cooperative like a hang: a 10 s delay ends
+    // within milliseconds of the token firing, and the read throws by
+    // the token's reason without delivering or metering a byte.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(26);
+    base.put(1, enc);
+    FaultPolicy policy;
+    policy.script = [](const FaultContext &) {
+        FaultDecision d;
+        d.delay_s = 10.0;
+        return d;
+    };
+    FaultyObjectStore store(base, policy);
+
+    CancelToken tok;
+    std::vector<uint8_t> buf;
+    std::atomic<bool> fail_fast{false};
+    std::thread reader([&] {
+        try {
+            store.fetchScanRange(1, 0, enc.numScans(), buf, true,
+                                 SIZE_MAX, &tok);
+        } catch (const Error &e) {
+            fail_fast.store(e.kind() == ErrorKind::Transient &&
+                            e.failFast());
+        }
+    });
+    while (store.stats().faults_delayed < 1)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const auto fired_at = std::chrono::steady_clock::now();
+    tok.cancel(CancelReason::Abandoned);
+    reader.join();
+    const double wake_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - fired_at)
+                              .count();
+    EXPECT_LT(wake_s, 0.25) << "the delay ignored its token";
+    EXPECT_TRUE(fail_fast.load());
+    EXPECT_TRUE(buf.empty()) << "a woken delay delivers nothing";
+    const ReadStats st = store.stats();
+    EXPECT_EQ(st.faults_delayed, 1u);
+    EXPECT_EQ(st.bytes_read, 0u);
+    EXPECT_EQ(st.bytes_full, 0u);
+    EXPECT_EQ(st.requests, 0u) << "the base store was never reached";
+}
+
 TEST(FaultInjection, ReleaseHangsWakesWedgedAndDisarmsFutureHangs)
 {
     ObjectStore base;
@@ -518,6 +566,46 @@ TEST(Breaker, CountsAbandonedReadsButReleasesClientCancels)
             << "client cancels say nothing about tier health";
         EXPECT_EQ(breaker.breakerStats().trips, 0u);
     }
+}
+
+TEST(Breaker, ReleasesSupersededHedgeLosers)
+{
+    // A hedge loser is cancelled with CancelReason::Superseded, which
+    // surfaces as Cancelled: the breaker below the hedge must release
+    // it, not count it as a tier failure. Every primary here wedges
+    // until its backup wins.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(27);
+    base.put(1, enc);
+    FaultPolicy policy;
+    policy.script = [](const FaultContext &ctx) {
+        FaultDecision d;
+        d.hang = ctx.attempt == 0;
+        return d;
+    };
+    FaultyObjectStore faulty(base, policy);
+
+    BreakerConfig bc;
+    bc.min_samples = 2;
+    bc.failure_threshold = 0.5;
+    BreakerObjectStore breaker(faulty, bc);
+    HedgeConfig hc;
+    hc.enable = true;
+    hc.max_delay_s = 1e-3;
+    HedgedObjectStore hedged(breaker, hc);
+
+    for (int i = 0; i < 4; ++i) {
+        faulty.resetAttempts();
+        std::vector<uint8_t> buf;
+        EXPECT_EQ(hedged.fetchScanRange(1, 0, 1, buf, true),
+                  enc.bytesForScans(1));
+    }
+    EXPECT_EQ(faulty.stats().faults_hung, 4u);
+    EXPECT_EQ(hedged.stats().hedge_wins, 4u);
+    EXPECT_EQ(breaker.state(), BreakerState::Closed)
+        << "superseded losers say nothing about tier health";
+    EXPECT_EQ(breaker.breakerStats().trips, 0u);
+    EXPECT_DOUBLE_EQ(breaker.breakerStats().failure_rate, 0.0);
 }
 
 TEST(ReadStats, MergeAccumulates)
@@ -965,6 +1053,250 @@ TEST(DecodeCache, ConcurrentHitEvictInvalidateConserves)
     const DecodeCacheStats s = cache.stats();
     EXPECT_LE(s.bytes, cfg.capacity_bytes);
     EXPECT_EQ(s.insertions, s.entries + s.evictions + s.invalidations);
+}
+
+// --------------------------------------------------------------------
+// HedgedObjectStore: one backup per slow call, joined before return.
+// --------------------------------------------------------------------
+
+/**
+ * Test decorator: counts the reads running through it and can hold
+ * one chosen call after its delivery until its token fires, then
+ * return success anyway — a loser that completed its delivery before
+ * it noticed it had lost.
+ */
+class ProbeStore : public ObjectStoreDecorator
+{
+  public:
+    using ObjectStoreDecorator::ObjectStoreDecorator;
+
+    size_t
+    fetchScanRange(uint64_t id, int from_scans, int to_scans,
+                   std::vector<uint8_t> &dst, bool charge_full,
+                   size_t max_bytes, const CancelToken *cancel) override
+    {
+        const int call = calls.fetch_add(1);
+        inflight.fetch_add(1);
+        struct Leave
+        {
+            std::atomic<int> &n;
+            ~Leave() { n.fetch_sub(1); }
+        } leave{inflight};
+        const size_t got = base_->fetchScanRange(
+            id, from_scans, to_scans, dst, charge_full, max_bytes, cancel);
+        const auto t0 = std::chrono::steady_clock::now();
+        while (call == hold_call && cancel != nullptr && !cancel->fired() &&
+               std::chrono::steady_clock::now() - t0 < std::chrono::seconds(5))
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return got;
+    }
+
+    std::atomic<int> calls{0};
+    std::atomic<int> inflight{0};
+    int hold_call = -1; //!< call index held after delivery (-1 = none)
+};
+
+HedgeConfig
+fastHedge()
+{
+    HedgeConfig hc;
+    hc.enable = true;
+    hc.max_delay_s = 1e-3; // bootstrap delay: hedge after 1 ms
+    return hc;
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+TEST(HedgedStore, WinnerBytesMatchAnUnhedgedFetch)
+{
+    // Every first attempt of a range stalls for 10 s; the backup's
+    // attempt is clean and wins. The adopted bytes are exactly what an
+    // unhedged fetch delivers, for a prefix read and a resumed range.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(41);
+    base.put(1, enc);
+    const int n = enc.numScans();
+    ASSERT_GE(n, 3);
+    std::vector<uint8_t> clean;
+    base.fetchScanRange(1, 0, n, clean, true);
+    base.resetStats();
+
+    FaultPolicy policy;
+    policy.script = [](const FaultContext &ctx) {
+        FaultDecision d;
+        d.delay_s = ctx.attempt == 0 ? 10.0 : 0.0;
+        return d;
+    };
+    FaultyObjectStore faulty(base, policy);
+    HedgedObjectStore hedged(faulty, fastHedge());
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<uint8_t> full;
+    EXPECT_EQ(hedged.fetchScanRange(1, 0, n, full, true), clean.size());
+    EXPECT_EQ(full, clean);
+
+    std::vector<uint8_t> resumed(clean.begin(),
+                                 clean.begin() +
+                                     static_cast<ptrdiff_t>(
+                                         enc.bytesForScans(2)));
+    EXPECT_EQ(hedged.fetchScanRange(1, 2, n, resumed, false),
+              clean.size() - enc.bytesForScans(2));
+    EXPECT_EQ(resumed, clean);
+    EXPECT_LT(secondsSince(t0), 5.0) << "the backup did not cut the stall";
+
+    const ReadStats h = hedged.stats();
+    EXPECT_EQ(h.hedges_issued, 2u);
+    EXPECT_EQ(h.hedge_wins, 2u);
+    EXPECT_EQ(h.hedge_loser_bytes, 0u)
+        << "a superseded stall delivered nothing";
+    EXPECT_EQ(base.stats().bytes_read, clean.size() + clean.size() -
+                                           enc.bytesForScans(2));
+    EXPECT_EQ(base.stats().bytes_full, enc.totalBytes())
+        << "the winning backup charges the denominator exactly once";
+}
+
+TEST(HedgedStore, NoReadOutlivesTheCall)
+{
+    // Whichever read wins, the other has unwound by the time the call
+    // returns: first a stalled primary loses to its backup, then a
+    // primary wins against a stalled backup.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(42);
+    base.put(1, enc);
+    const int n = enc.numScans();
+    FaultPolicy policy;
+    policy.script = [](const FaultContext &ctx) {
+        FaultDecision d;
+        const bool backup_stalls = ctx.from_scans == 1;
+        if (ctx.attempt == 0)
+            d.delay_s = backup_stalls ? 0.03 : 10.0;
+        else
+            d.delay_s = backup_stalls ? 10.0 : 0.0;
+        return d;
+    };
+    FaultyObjectStore faulty(base, policy);
+    ProbeStore probe(faulty);
+    HedgedObjectStore hedged(probe, fastHedge());
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<uint8_t> buf;
+    hedged.fetchScanRange(1, 0, 1, buf, true);
+    EXPECT_EQ(probe.inflight.load(), 0) << "the superseded primary ran on";
+    EXPECT_EQ(probe.calls.load(), 2);
+    EXPECT_EQ(hedged.stats().hedge_wins, 1u);
+
+    hedged.fetchScanRange(1, 1, n, buf, false);
+    EXPECT_EQ(probe.inflight.load(), 0) << "the superseded backup ran on";
+    EXPECT_EQ(probe.calls.load(), 4);
+    EXPECT_EQ(hedged.stats().hedges_issued, 2u);
+    EXPECT_EQ(hedged.stats().hedge_wins, 1u)
+        << "the primary won the second race";
+    EXPECT_LT(secondsSince(t0), 5.0) << "a stalled loser was waited out";
+    EXPECT_EQ(buf.size(), enc.totalBytes());
+}
+
+TEST(HedgedStore, LoserBytesAreMeteredOnce)
+{
+    // The primary delivers its range, then lingers until the backup
+    // has won and returns success anyway: it completes as a loser. The
+    // base meters both deliveries once each, the decorator adds no
+    // bytes of its own, and hedge_loser_bytes names the loser's share.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(43);
+    base.put(1, enc);
+    const int n = enc.numScans();
+    const size_t range = enc.bytesForScans(n);
+    ProbeStore probe(base);
+    probe.hold_call = 0;
+    HedgedObjectStore hedged(probe, fastHedge());
+
+    std::vector<uint8_t> buf;
+    EXPECT_EQ(hedged.fetchScanRange(1, 0, n, buf, false), range);
+    EXPECT_EQ(buf.size(), range);
+    EXPECT_EQ(probe.inflight.load(), 0);
+
+    const ReadStats h = hedged.stats();
+    EXPECT_EQ(h.hedges_issued, 1u);
+    EXPECT_EQ(h.hedge_wins, 1u);
+    EXPECT_EQ(h.hedge_loser_bytes, range);
+    EXPECT_EQ(base.stats().bytes_read, 2 * range);
+    EXPECT_EQ(hedged.stats().bytes_read, 2 * range)
+        << "the decorator must not meter bytes a second time";
+    EXPECT_EQ(base.stats().bytes_read, range + h.hedge_loser_bytes)
+        << "winner + loser bytes account for every metered byte";
+}
+
+TEST(HedgedStore, ZeroInflightBudgetNeverHedges)
+{
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(44);
+    base.put(1, enc);
+    FaultPolicy policy;
+    policy.script = [](const FaultContext &ctx) {
+        FaultDecision d;
+        d.delay_s = ctx.attempt == 0 ? 0.03 : 0.0;
+        return d;
+    };
+    FaultyObjectStore faulty(base, policy);
+    HedgeConfig hc = fastHedge();
+    hc.inflight_budget = 0;
+    HedgedObjectStore hedged(faulty, hc);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<uint8_t> buf;
+    EXPECT_EQ(hedged.fetchScanRange(1, 0, 1, buf, true),
+              enc.bytesForScans(1));
+    EXPECT_GE(secondsSince(t0), 0.03) << "the slow primary was awaited";
+    EXPECT_EQ(hedged.stats().hedges_issued, 0u);
+    EXPECT_EQ(hedged.stats().hedge_wins, 0u);
+    EXPECT_EQ(base.stats().requests, 1u) << "no backup reached the base";
+}
+
+TEST(HedgedStore, ForwardsThroughTheStack)
+{
+    // put()/root()/peek()/stats() reach the bottom of a hedged ->
+    // breaker -> faulty -> base stack, and a decode cache attached
+    // through the top sees puts made through it.
+    ObjectStore base;
+    const EncodedImage enc = encodeTest(45);
+    FaultPolicy policy;
+    policy.latency_fixed_s = 1e-4;
+    FaultyObjectStore faulty(base, policy);
+    BreakerObjectStore breaker(faulty, BreakerConfig{});
+    HedgedObjectStore hedged(breaker, fastHedge());
+
+    hedged.put(1, enc);
+    EXPECT_TRUE(base.contains(1));
+    EXPECT_TRUE(hedged.contains(1));
+    EXPECT_EQ(hedged.size(), 1u);
+    EXPECT_EQ(hedged.storedBytes(), base.storedBytes());
+    EXPECT_EQ(&hedged.root(), &base);
+    EXPECT_EQ(&hedged.peek(1), &base.peek(1));
+
+    std::vector<uint8_t> buf;
+    hedged.fetchScanRange(1, 0, 2, buf, true);
+    const ReadStats st = hedged.stats();
+    EXPECT_EQ(st.bytes_read, enc.bytesForScans(2));
+    EXPECT_EQ(st.bytes_read, base.stats().bytes_read);
+    EXPECT_EQ(st.faults_delayed, 1u) << "fault counters forward";
+    hedged.resetStats();
+    EXPECT_EQ(base.stats().bytes_read, 0u) << "resetStats forwards";
+
+    DecodeCacheConfig cc;
+    cc.require_second_hit = false;
+    DecodeCache cache(cc);
+    hedged.attachCache(&cache); // lands on root() == base
+    cache.insert(1, 2, Image(), snapshotAt(enc, 2));
+    hedged.put(1, encodeTest(46));
+    EXPECT_EQ(cache.lookup(1, 0, 99), nullptr)
+        << "a put through the hedge must invalidate the cache";
+    hedged.detachCache(&cache);
 }
 
 TEST(ReadStats, EmptyIsNeutral)

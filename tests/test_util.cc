@@ -114,7 +114,7 @@ TEST(Timer, MeasuresElapsed)
     Timer t;
     volatile double x = 0.0;
     for (int i = 0; i < 2000000; ++i)
-        x += i;
+        x = x + i;
     EXPECT_GT(t.seconds(), 0.0);
     EXPECT_GE(t.millis(), t.seconds() * 1e3); // monotone between calls
 }
@@ -328,6 +328,87 @@ TEST(CancelToken, ConcurrentCancelKeepsExactlyOneReason)
     EXPECT_TRUE(r == CancelReason::Client ||
                 r == CancelReason::Watchdog);
     EXPECT_EQ(tok.reason(), r) << "reason must be stable once set";
+}
+
+TEST(CancelToken, ChainedFirstReasonWins)
+{
+    // A child reports its parent's firing before its own; each token
+    // alone keeps its first reason, and the parent never sees the
+    // child's firings.
+    CancelToken parent;
+    CancelToken child(&parent);
+    CancelToken grandchild(&child);
+    EXPECT_FALSE(grandchild.fired());
+
+    child.cancel(CancelReason::Superseded);
+    child.cancel(CancelReason::Abandoned); // ignored: first wins
+    EXPECT_EQ(child.reason(), CancelReason::Superseded);
+    EXPECT_EQ(grandchild.reason(), CancelReason::Superseded);
+    EXPECT_FALSE(parent.fired()) << "firings never flow upward";
+    EXPECT_FALSE(grandchild.cancelled())
+        << "cancelled() reports only the token's own cancel()";
+
+    parent.cancel(CancelReason::Client);
+    parent.cancel(CancelReason::Watchdog); // ignored: first wins
+    EXPECT_EQ(child.reason(), CancelReason::Client)
+        << "a fired parent is reported first";
+    EXPECT_EQ(grandchild.reason(), CancelReason::Client);
+    try {
+        grandchild.throwIfFired();
+        FAIL() << "fired chain did not throw";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Cancelled);
+    }
+
+    // A parent's lazy deadline reaches the child too.
+    ManualClock clk;
+    CancelToken timed;
+    timed.armDeadline(clk, clk.now() + 1.0);
+    CancelToken read(&timed);
+    EXPECT_FALSE(read.fired());
+    clk.advance(1.5);
+    EXPECT_EQ(read.reason(), CancelReason::Deadline);
+}
+
+TEST(CancelToken, DeadlineFiresWithTheArmedReason)
+{
+    // A per-read stage bound reads as Abandoned — a fail-fast
+    // Transient — not as the request's Deadline.
+    ManualClock clk;
+    CancelToken tok;
+    tok.armDeadline(clk, clk.now() + 1.0, CancelReason::Abandoned);
+    EXPECT_FALSE(tok.fired());
+    clk.advance(1.5);
+    EXPECT_EQ(tok.reason(), CancelReason::Abandoned);
+    EXPECT_FALSE(tok.cancelled());
+    try {
+        tok.throwIfFired();
+        FAIL() << "expired token did not throw";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.kind(), ErrorKind::Transient);
+        EXPECT_TRUE(e.failFast());
+    }
+
+    // The parent's firing still comes first, and an explicit cancel
+    // still wins over the child's own expired deadline.
+    CancelToken parent;
+    CancelToken child(&parent);
+    child.armDeadline(clk, clk.now() + 1.0, CancelReason::Abandoned);
+    clk.advance(2.0);
+    EXPECT_EQ(child.reason(), CancelReason::Abandoned);
+    parent.cancel(CancelReason::Watchdog);
+    EXPECT_EQ(child.reason(), CancelReason::Watchdog);
+
+    CancelToken own;
+    own.armDeadline(clk, clk.now() + 1.0, CancelReason::Abandoned);
+    own.cancel(CancelReason::Superseded);
+    clk.advance(2.0);
+    EXPECT_EQ(own.reason(), CancelReason::Superseded);
+
+    // Re-arming without a reason falls back to Deadline.
+    own.reset();
+    own.armDeadline(clk, clk.now());
+    EXPECT_EQ(own.reason(), CancelReason::Deadline);
 }
 
 TEST(Watchdog, FlagsOnlySilentBusyWorkers)
